@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eventstore/run_io.h"
@@ -132,6 +133,9 @@ int run(const std::string& out_path, std::uint64_t events,
   json::Object root;
   root["bench"] = std::string("explore");
   root["events"] = static_cast<std::int64_t>(events);
+  root["hardware_threads"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  root["build_type"] = std::string(DIOG_BUILD_TYPE);
   root["build_ms"] = build_ms;
   root["save_ms"] = save_ms;
   json::Object budget;

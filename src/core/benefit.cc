@@ -13,76 +13,77 @@ Duration BenefitReport::benefit_of(std::size_t node_index) const {
   return Duration{0};
 }
 
-Duration remove_synchronization(ExecutionGraph& g, std::size_t i) {
-  auto& nodes = g.nodes();
-  DIOG_CHECK(i < nodes.size() && nodes[i].is_sync_node(),
+Duration remove_synchronization(const ExecutionGraph& g,
+                                std::vector<Duration>& d, std::size_t i) {
+  DIOG_CHECK(i < g.size() && d.size() == g.size() &&
+                 g.nodes()[i].is_sync_node(),
              "remove_synchronization on a non-sync node");
   const std::optional<std::size_t> next = g.next_sync_after(i);
-  const std::size_t end = next.value_or(nodes.size());
+  const std::size_t end = next.value_or(g.size());
 
   // EstMaxGPUIdle: all CLaunch/CWork duration between this sync and the
   // next — the upper bound on GPU idle contraction (Fig 5 line 16).
-  const Duration est_max_idle = g.work_between(i, end);
-  const Duration benefit = std::min(est_max_idle, nodes[i].duration);
+  const Duration est_max_idle = g.work_between(i, end, d);
+  const Duration benefit = std::min(est_max_idle, d[i]);
 
   // The next synchronization absorbs what could not be saved (line 19).
   if (next.has_value()) {
-    const Duration overflow = nodes[i].duration - benefit;
-    if (overflow > Duration{0}) nodes[*next].duration += overflow;
+    const Duration overflow = d[i] - benefit;
+    if (overflow > Duration{0}) d[*next] += overflow;
   }
-  nodes[i].duration = Duration{0};  // line 21
+  d[i] = Duration{0};  // line 21
   return benefit;
 }
 
-Duration move_synchronization(ExecutionGraph& g, std::size_t i,
+Duration move_synchronization(const ExecutionGraph& g,
+                              std::vector<Duration>& d, std::size_t i,
                               const BenefitOptions& opts) {
-  auto& nodes = g.nodes();
-  DIOG_CHECK(i < nodes.size() && nodes[i].is_sync_node(),
+  DIOG_CHECK(i < g.size() && d.size() == g.size() &&
+                 g.nodes()[i].is_sync_node(),
              "move_synchronization on a non-sync node");
-  Duration benefit = nodes[i].first_use_time;  // line 25
-  if (opts.cap_misplaced_at_duration) {
-    benefit = std::min(benefit, nodes[i].duration);
-  }
+  const Duration first_use = g.nodes()[i].first_use_time;
+  Duration benefit = first_use;  // line 25
+  if (opts.cap_misplaced_at_duration) benefit = std::min(benefit, d[i]);
   // line 26: the wait shrinks by the first-use gap.
-  nodes[i].duration =
-      std::max(Duration{0}, nodes[i].duration - nodes[i].first_use_time);
+  d[i] = std::max(Duration{0}, d[i] - first_use);
   return benefit;
 }
 
-Duration remove_memory_transfer(ExecutionGraph& g, std::size_t i) {
-  auto& nodes = g.nodes();
-  DIOG_CHECK(i < nodes.size(), "bad node index");
-  const Duration benefit = nodes[i].duration;  // line 31
-  nodes[i].duration = Duration{0};             // line 32
+Duration remove_memory_transfer(const ExecutionGraph& g,
+                                std::vector<Duration>& d, std::size_t i) {
+  DIOG_CHECK(i < g.size() && d.size() == g.size(), "bad node index");
+  const Duration benefit = d[i];  // line 31
+  d[i] = Duration{0};             // line 32
   return benefit;
 }
 
 namespace {
 
-BenefitReport evaluate(ExecutionGraph& g,
-                       const std::vector<std::size_t>& targets,
+BenefitReport evaluate(const ExecutionGraph& g,
+                       std::span<const std::size_t> targets,
                        const BenefitOptions& opts) {
+  std::vector<Duration> d = g.durations();
   BenefitReport report;
   report.per_node.reserve(targets.size());
   for (const std::size_t i : targets) {
-    const Node& n = g.nodes()[i];
+    const ProblemType problem = g.nodes()[i].problem;
     Duration b{0};
-    switch (n.problem) {
+    switch (problem) {
       case ProblemType::kUnnecessarySync:
-        b = remove_synchronization(g, i);
+        b = remove_synchronization(g, d, i);
         break;
       case ProblemType::kMisplacedSync:
-        b = move_synchronization(g, i, opts);
+        b = move_synchronization(g, d, i, opts);
         break;
       case ProblemType::kUnnecessaryTransfer:
-        b = remove_memory_transfer(g, i);
+        b = remove_memory_transfer(g, d, i);
         break;
       case ProblemType::kNone:
         continue;
     }
-    report.per_node.push_back(NodeBenefit{i, b, n.problem});
+    report.per_node.push_back(NodeBenefit{i, b, problem});
     report.total += b;
-    if (n.problem == ProblemType::kUnnecessaryTransfer) {
+    if (problem == ProblemType::kUnnecessaryTransfer) {
       report.transfer_benefit += b;
     } else {
       report.sync_benefit += b;
@@ -93,17 +94,17 @@ BenefitReport evaluate(ExecutionGraph& g,
 
 }  // namespace
 
-BenefitReport expected_benefit(ExecutionGraph g, const BenefitOptions& opts) {
+BenefitReport expected_benefit(const ExecutionGraph& g,
+                               const BenefitOptions& opts) {
   return evaluate(g, g.problematic_indices(), opts);
 }
 
-BenefitReport expected_benefit_subset(ExecutionGraph g,
+BenefitReport expected_benefit_subset(const ExecutionGraph& g,
                                       std::span<const std::size_t> nodes,
                                       const BenefitOptions& opts) {
   DIOG_CHECK(std::is_sorted(nodes.begin(), nodes.end()),
              "subset indices must be sorted (graph order)");
-  const std::vector<std::size_t> targets(nodes.begin(), nodes.end());
-  return evaluate(g, targets, opts);
+  return evaluate(g, nodes, opts);
 }
 
 }  // namespace diog::ffm

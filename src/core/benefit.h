@@ -51,17 +51,21 @@ struct BenefitReport {
   [[nodiscard]] Duration benefit_of(std::size_t node_index) const;
 };
 
-// The individual transforms, mutating the graph as Figure 5 does. Each
-// returns the node's estimated benefit. Exposed for unit tests and the
-// figure benches.
-Duration remove_synchronization(ExecutionGraph& g, std::size_t i);
-Duration move_synchronization(ExecutionGraph& g, std::size_t i,
+// The individual transforms of Figure 5. Each rewrites `d`, a replay's
+// copy of g.durations() (the only state Figure 5 mutates), and returns
+// node i's estimated benefit. Exposed for unit tests and the figure
+// benches.
+Duration remove_synchronization(const ExecutionGraph& g,
+                                std::vector<Duration>& d, std::size_t i);
+Duration move_synchronization(const ExecutionGraph& g,
+                              std::vector<Duration>& d, std::size_t i,
                               const BenefitOptions& opts);
-Duration remove_memory_transfer(ExecutionGraph& g, std::size_t i);
+Duration remove_memory_transfer(const ExecutionGraph& g,
+                                std::vector<Duration>& d, std::size_t i);
 
-// ExpectedBenefit over every problematic node, in graph order. The graph
-// is taken by value: evaluation mutates edge durations.
-BenefitReport expected_benefit(ExecutionGraph g,
+// ExpectedBenefit over every problematic node, in graph order, replayed
+// on a copy of the graph's durations.
+BenefitReport expected_benefit(const ExecutionGraph& g,
                                const BenefitOptions& opts = {});
 
 // ExpectedBenefit restricted to a subset of problematic node indices
@@ -69,7 +73,7 @@ BenefitReport expected_benefit(ExecutionGraph g,
 // left unfixed. This powers group, sequence and subsequence estimates —
 // including the paper's "evaluate a subsequence without additional data
 // collection".
-BenefitReport expected_benefit_subset(ExecutionGraph g,
+BenefitReport expected_benefit_subset(const ExecutionGraph& g,
                                       std::span<const std::size_t> nodes,
                                       const BenefitOptions& opts = {});
 

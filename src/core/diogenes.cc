@@ -11,7 +11,6 @@
 #include "core/stage4_syncuse.h"
 #include "eventstore/run_io.h"
 #include "obs/span.h"
-#include "parallel/thread_pool.h"
 #include "obs/telemetry.h"
 #include "support/error.h"
 
@@ -58,9 +57,11 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
   r.run = run;
   // Legacy per-stage views, materialized from the store in append order
   // (byte-stable regardless of whether the run came from memory or
-  // disk).
+  // disk). Stage 2 keeps only its exec time: its ops are one record per
+  // traced call, which nothing downstream reads (stage2_view(run) has
+  // them).
   r.s1 = stage1_view(run);
-  r.s2 = stage2_view(run);
+  r.s2.exec_time = run.meta.s2_exec;
   r.s3 = stage3_view(run);
   r.s4 = stage4_view(run);
 
@@ -74,19 +75,13 @@ AnalysisResult run_analysis(const evstore::TraceRun& run,
   }
   {
     DIOG_SPAN("stage5.groupings");
-    // The three grouping families are independent reads of the graph
-    // (each replays benefits on its own copy), so they fan out across
-    // the pool; sequence_groups' own parallel pass nests inline on a
-    // worker. Each result has a deterministic internal order, so the
-    // report is identical at any thread count.
-    par::parallel_for(3, [&](std::size_t task) {
-      switch (task) {
-        case 0: r.single_points = single_point_groups(r.graph); break;
-        case 1: r.folds = folded_api_groups(r.graph); break;
-        case 2: r.sequences = sequence_groups(r.graph); break;
-        default: break;
-      }
-    });
+    // Single-point and folded groups regroup the pass above; sequences
+    // replay their own subsets (in parallel, inside sequence_groups).
+    // Each result has a deterministic internal order, so the report is
+    // identical at any thread count.
+    r.single_points = single_point_groups(r.graph, r.benefit);
+    r.folds = folded_api_groups(r.graph, r.benefit);
+    r.sequences = sequence_groups(r.graph);
   }
 
   if (obs::Telemetry::enabled()) {

@@ -30,6 +30,10 @@ struct AnalysisResult {
   // The legacy shapes survive for JSON round-trip and existing
   // consumers; `run` is the source of truth.
   Stage1Result s1;
+  // Stage 2 carries exec_time only; `ops` stays empty. The op records
+  // (one per traced call, each with its own stack) are what the graph
+  // is built from, straight off the store, and nothing else in the
+  // analysis reads them. Call stage2_view(run) for them.
   Stage2Result s2;
   Stage3Result s3;
   Stage4Result s4;

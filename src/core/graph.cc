@@ -19,6 +19,23 @@ std::string_view to_string(NType t) {
   return "?";
 }
 
+ExecutionGraph::ExecutionGraph(std::vector<Node> nodes, Duration exec_time,
+                               std::vector<trace::StackTrace> stacks)
+    : nodes_(std::move(nodes)),
+      exec_time_(exec_time),
+      stacks_(std::move(stacks)) {
+  durations_.reserve(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    durations_.push_back(nodes_[i].duration);
+    if (nodes_[i].is_problematic()) problems_.push_back(i);
+  }
+}
+
+const trace::StackTrace& ExecutionGraph::stack_of(const Node& n) const {
+  static const trace::StackTrace kEmpty;
+  return n.stack < stacks_.size() ? stacks_[n.stack] : kEmpty;
+}
+
 std::optional<std::size_t> ExecutionGraph::next_sync_after(
     std::size_t i) const {
   for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
@@ -27,29 +44,21 @@ std::optional<std::size_t> ExecutionGraph::next_sync_after(
   return std::nullopt;
 }
 
-Duration ExecutionGraph::work_between(std::size_t a, std::size_t b) const {
-  DIOG_CHECK(a <= b && b <= nodes_.size(), "bad work_between range");
+Duration ExecutionGraph::work_between(
+    std::size_t a, std::size_t b, std::span<const Duration> durations) const {
+  DIOG_CHECK(a <= b && b <= nodes_.size() &&
+                 durations.size() == nodes_.size(),
+             "bad work_between range");
   Duration sum{0};
   for (std::size_t j = a + 1; j < b; ++j) {
-    const Node& n = nodes_[j];
-    if (n.type == NType::kCWork || n.type == NType::kCLaunch) {
-      sum += n.duration;
-    }
+    if (!nodes_[j].is_sync_node()) sum += durations[j];
   }
   return sum;
 }
 
-std::vector<std::size_t> ExecutionGraph::problematic_indices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].is_problematic()) out.push_back(i);
-  }
-  return out;
-}
-
 Duration ExecutionGraph::total_duration() const {
   Duration sum{0};
-  for (const Node& n : nodes_) sum += n.duration;
+  for (const Duration d : durations_) sum += d;
   return sum;
 }
 
@@ -75,6 +84,15 @@ json::Value ExecutionGraph::to_json() const {
   return json::Value(std::move(root));
 }
 
+std::vector<trace::StackTrace> stack_table(const evstore::StackDict& dict) {
+  std::vector<trace::StackTrace> stacks;
+  stacks.reserve(dict.stack_count());
+  for (evstore::StackId id = 0; id < dict.stack_count(); ++id) {
+    stacks.push_back(dict.stack_trace(id));
+  }
+  return stacks;
+}
+
 ExecutionGraph build_graph(const evstore::TraceRun& run,
                            Duration misplaced_threshold) {
   namespace ev = evstore;
@@ -96,67 +114,74 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
 
   const Duration exec_time = run.meta.s2_exec;
   std::vector<Node> nodes;
-  nodes.reserve(store.count_of(ev::EventKind::kOp) * 2 + 2);
+  // Each op emits at most a CWork gap, a CLaunch and, when it
+  // synchronized, a CWait; the run adds a trailing CWork and the
+  // terminal join. Reserving that bound means no reallocation.
+  const std::uint64_t syncs =
+      ev::ops(store).flags_all(ev::flag::kPerformedSync).count();
+  nodes.reserve(store.count_of(ev::EventKind::kOp) * 2 + syncs + 2);
   TimePoint cursor{0};
 
   ev::Cursor op_cursor = ev::ops(store);
-  ev::Event op_event;
-  while (op_cursor.next(op_event)) {
-    const OpRecord op = op_from_event(store, op_event);
+  ev::Event e;
+  while (op_cursor.next(e)) {
+    const TimePoint t_enter{e.t_start};
+    const TimePoint t_exit{e.t_end};
+    const bool performed_sync = e.has(ev::flag::kPerformedSync);
+    const bool performed_transfer = e.has(ev::flag::kPerformedTransfer);
     // Gap since the previous traced call: pure CPU work (subsumes
     // untraced calls).
-    if (op.t_enter > cursor) {
+    if (t_enter > cursor) {
       Node w;
       w.type = NType::kCWork;
       w.stime = cursor;
-      w.duration = op.t_enter - cursor;
-      nodes.push_back(std::move(w));
+      w.duration = t_enter - cursor;
+      nodes.push_back(w);
     }
 
-    const Duration call = op.t_exit - op.t_enter;
-    Duration wait = op.sync_wait <= call ? op.sync_wait : call;
+    const Duration call = t_exit - t_enter;
+    const Duration sync_wait{e.aux_time};
+    const Duration gpu_op{e.gpu_time};
+    Duration wait = sync_wait <= call ? sync_wait : call;
     // Paper §3.5.1: "The CLaunch event performs setup and initiates the
     // transfer while the GWait event waits for the transfer to
     // complete." For a blocking transfer, the tail of the measured wait
     // is the transfer itself — it belongs to the CLaunch side (it is
     // what RemoveMemoryTransfer recovers); only the drain of *prior*
     // stream work is CWait.
-    if (op.performed_transfer && op.gpu_op_duration > Duration{0}) {
-      wait -= std::min(wait, op.gpu_op_duration);
+    if (performed_transfer && gpu_op > Duration{0}) {
+      wait -= std::min(wait, gpu_op);
     }
     const Duration launch_part = call - wait;
 
+    Node op;
+    op.op_index = static_cast<std::int64_t>(e.op_index);
+    op.api = e.fn();
+    op.stack = e.stack;
+
     // The non-blocked portion: setup + submission (CLaunch).
-    if (launch_part > Duration{0} || op.performed_transfer) {
-      Node l;
+    if (launch_part > Duration{0} || performed_transfer) {
+      Node l = op;
       l.type = NType::kCLaunch;
-      l.stime = op.t_enter;
+      l.stime = t_enter;
       l.duration = launch_part;
-      l.op_index = static_cast<std::int64_t>(op.index);
-      l.api = op.api;
-      l.stack = op.stack;
-      l.bytes = op.bytes;
-      if (dup.contains(op.index)) {
+      if (dup.contains(e.op_index)) {
         l.problem = ProblemType::kUnnecessaryTransfer;
       }
-      nodes.push_back(std::move(l));
+      nodes.push_back(l);
     }
 
     // The blocked portion (CWait) for synchronizing calls.
-    if (op.performed_sync) {
-      Node s;
+    if (performed_sync) {
+      Node s = op;
       s.type = NType::kCWait;
-      s.stime = op.t_enter + launch_part;
+      s.stime = t_enter + launch_part;
       s.duration = wait;
-      s.op_index = static_cast<std::int64_t>(op.index);
-      s.api = op.api;
-      s.stack = op.stack;
-      s.bytes = op.bytes;
-      const auto cls = sync_required.find(op.index);
+      const auto cls = sync_required.find(e.op_index);
       if (cls != sync_required.end() && !cls->second) {
         s.problem = ProblemType::kUnnecessarySync;
       } else {
-        const auto fu = first_use.find(op.index);
+        const auto fu = first_use.find(e.op_index);
         if (fu != first_use.end()) {
           s.first_use_time = fu->second;
           if (fu->second > misplaced_threshold) {
@@ -164,10 +189,10 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
           }
         }
       }
-      nodes.push_back(std::move(s));
+      nodes.push_back(s);
     }
 
-    cursor = op.t_exit;
+    cursor = t_exit;
   }
 
   // Trailing CPU work after the last traced call.
@@ -176,7 +201,7 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
     w.type = NType::kCWork;
     w.stime = cursor;
     w.duration = exec_time - cursor;
-    nodes.push_back(std::move(w));
+    nodes.push_back(w);
   }
 
   // Terminal join with the device at program exit.
@@ -184,9 +209,10 @@ ExecutionGraph build_graph(const evstore::TraceRun& run,
   exit_node.type = NType::kCWait;
   exit_node.stime = exec_time;
   exit_node.duration = Duration{0};
-  nodes.push_back(std::move(exit_node));
+  nodes.push_back(exit_node);
 
-  return ExecutionGraph(std::move(nodes), exec_time);
+  return ExecutionGraph(std::move(nodes), exec_time,
+                        stack_table(store.stacks()));
 }
 
 ExecutionGraph build_graph(const Stage2Result& s2, const Stage3Result& s3,

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/model.h"
@@ -34,16 +35,17 @@ std::string_view to_string(NType t);
 
 struct Node {
   NType type = NType::kCWork;
+  ProblemType problem = ProblemType::kNone;
+  // Provenance (absent for synthesized CWork / terminal nodes). `stack`
+  // is the run's interned stack id: it indexes the owning graph's stack
+  // table (ExecutionGraph::stack_of), so a node holds no heap data.
+  hooks::Fn api = hooks::Fn::kCount_;
+  evstore::StackId stack = evstore::kEmptyStack;
+  std::int64_t op_index = -1;
+
   TimePoint stime{0};
   Duration duration{0};  // the out-CPU-edge label
-  ProblemType problem = ProblemType::kNone;
   Duration first_use_time{0};
-
-  // Provenance (absent for synthesized CWork / terminal nodes).
-  std::int64_t op_index = -1;
-  hooks::Fn api = hooks::Fn::kCount_;
-  trace::StackTrace stack;
-  std::uint64_t bytes = 0;
 
   [[nodiscard]] bool is_sync_node() const { return type == NType::kCWait; }
   [[nodiscard]] bool is_problematic() const {
@@ -54,13 +56,24 @@ struct Node {
 class ExecutionGraph {
  public:
   ExecutionGraph() = default;
-  explicit ExecutionGraph(std::vector<Node> nodes, Duration exec_time)
-      : nodes_(std::move(nodes)), exec_time_(exec_time) {}
+  // `stacks` is the table Node::stack indexes (entry 0, the empty stack,
+  // may be omitted). A graph is immutable once built: the benefit
+  // replays rewrite a copy of durations(), never the nodes.
+  explicit ExecutionGraph(std::vector<Node> nodes, Duration exec_time,
+                          std::vector<trace::StackTrace> stacks = {});
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Duration exec_time() const { return exec_time_; }
+
+  // The provenance stack of `n` (empty when absent or out of the table).
+  [[nodiscard]] const trace::StackTrace& stack_of(const Node& n) const;
+
+  // Every node's duration, in node order: the edge labels Figure 5's
+  // transforms rewrite. A replay copies this array, not the graph.
+  [[nodiscard]] const std::vector<Duration>& durations() const {
+    return durations_;
+  }
 
   // GetNextSyncNode(Node): index of the next CWait node strictly after
   // `i`, or nullopt (callers treat program exit as an implicit join).
@@ -69,10 +82,21 @@ class ExecutionGraph {
 
   // SumDuration(CPUNodesBetween(a, b, CLaunch|CWork)): total duration of
   // the non-waiting nodes strictly between indices a and b — the paper's
-  // upper bound on how much GPU idle time can contract.
-  [[nodiscard]] Duration work_between(std::size_t a, std::size_t b) const;
+  // upper bound on how much GPU idle time can contract. `durations`
+  // (indexed like nodes()) is a replay's current edge labels; the
+  // two-argument form reads the graph's own.
+  [[nodiscard]] Duration work_between(
+      std::size_t a, std::size_t b,
+      std::span<const Duration> durations) const;
+  [[nodiscard]] Duration work_between(std::size_t a, std::size_t b) const {
+    return work_between(a, b, durations_);
+  }
 
-  [[nodiscard]] std::vector<std::size_t> problematic_indices() const;
+  // Indices of the problematic nodes, ascending (computed once, at
+  // construction).
+  [[nodiscard]] const std::vector<std::size_t>& problematic_indices() const {
+    return problems_;
+  }
 
   // Sum of all node durations (== exec time when built from a trace).
   [[nodiscard]] Duration total_duration() const;
@@ -82,7 +106,14 @@ class ExecutionGraph {
  private:
   std::vector<Node> nodes_;
   Duration exec_time_{0};
+  std::vector<trace::StackTrace> stacks_;
+  std::vector<Duration> durations_;
+  std::vector<std::size_t> problems_;
 };
+
+// A graph's stack table for nodes that carry `dict`'s ids: every
+// interned stack, indexed by its id (a run has a few dozen).
+std::vector<trace::StackTrace> stack_table(const evstore::StackDict& dict);
 
 // Assemble the graph from a run. kOp events provide timing and node
 // structure; kSyncClassification events classify problems; kSyncUse

@@ -21,26 +21,25 @@ bool is_conditionally_unnecessary(const Node& n) {
 }
 
 // Benefit-descending with a deterministic tie-break on the member node
-// indices (graph append order). Grouping maps are keyed on
-// StackTrace::exact_key(), which mixes frame POINTERS — map iteration
-// order therefore varies run to run, and ties must not inherit it:
-// a saved-and-reopened run has to produce byte-identical reports.
+// indices (graph append order), so ties never inherit the grouping
+// maps' key order: a saved-and-reopened run has to produce
+// byte-identical reports.
 bool group_order(const Group& a, const Group& b) {
   if (a.benefit != b.benefit) return a.benefit > b.benefit;
   return a.nodes < b.nodes;
 }
 
-std::string leaf_description(const Node& n) {
+std::string leaf_description(const ExecutionGraph& g, const Node& n) {
   std::string api = n.api != hooks::Fn::kCount_
                         ? std::string(hooks::fn_name(n.api))
                         : std::string("(unknown)");
-  const trace::Frame* leaf = n.stack.leaf();
+  const trace::Frame* leaf = g.stack_of(n).leaf();
   if (leaf == nullptr) return api;
   return api + " in " + leaf->file + " at line " + std::to_string(leaf->line);
 }
 
-std::string folded_leaf_name(const Node& n) {
-  const trace::Frame* leaf = n.stack.leaf();
+std::string folded_leaf_name(const ExecutionGraph& g, const Node& n) {
+  const trace::Frame* leaf = g.stack_of(n).leaf();
   if (leaf == nullptr) return "(no stack)";
   return leaf->folded_function;
 }
@@ -92,25 +91,16 @@ json::Value Group::to_json() const {
 }
 
 std::vector<Group> single_point_groups(const ExecutionGraph& g,
-                                       const BenefitOptions& opts) {
-  const BenefitReport report = expected_benefit(g, opts);
-
-  struct Key {
-    hooks::Fn api;
-    std::uint64_t stack_key;
-    bool operator<(const Key& other) const {
-      if (api != other.api) return api < other.api;
-      return stack_key < other.stack_key;
-    }
-  };
-  std::map<Key, Group> by_site;
+                                       const BenefitReport& report) {
+  // A site is (API, interned stack id): ids are exact, so two distinct
+  // stacks never share a group.
+  std::map<std::pair<hooks::Fn, evstore::StackId>, Group> by_site;
   for (const NodeBenefit& nb : report.per_node) {
     const Node& n = g.nodes()[nb.node];
-    const Key key{n.api, n.stack.exact_key()};
-    Group& grp = by_site[key];
+    Group& grp = by_site[{n.api, n.stack}];
     if (grp.nodes.empty()) {
       grp.kind = Group::Kind::kSinglePoint;
-      grp.title = leaf_description(n);
+      grp.title = leaf_description(g, n);
     }
     grp.nodes.push_back(nb.node);
     grp.benefit += nb.benefit;
@@ -126,10 +116,13 @@ std::vector<Group> single_point_groups(const ExecutionGraph& g,
   return out;
 }
 
-std::vector<Group> folded_api_groups(const ExecutionGraph& g,
-                                     const BenefitOptions& opts) {
-  const BenefitReport report = expected_benefit(g, opts);
+std::vector<Group> single_point_groups(const ExecutionGraph& g,
+                                       const BenefitOptions& opts) {
+  return single_point_groups(g, expected_benefit(g, opts));
+}
 
+std::vector<Group> folded_api_groups(const ExecutionGraph& g,
+                                     const BenefitReport& report) {
   std::map<hooks::Fn, Group> by_api;
   // Expansion accumulators: per API, per folded app-function name.
   struct FoldAccum {
@@ -149,7 +142,7 @@ std::vector<Group> folded_api_groups(const ExecutionGraph& g,
     grp.nodes.push_back(nb.node);
     grp.benefit += nb.benefit;
 
-    FoldAccum& acc = folds[n.api][folded_leaf_name(n)];
+    FoldAccum& acc = folds[n.api][folded_leaf_name(g, n)];
     acc.benefit += nb.benefit;
     ++acc.count;
     acc.conditional = acc.conditional || is_conditionally_unnecessary(n);
@@ -177,23 +170,24 @@ std::vector<Group> folded_api_groups(const ExecutionGraph& g,
   return out;
 }
 
+std::vector<Group> folded_api_groups(const ExecutionGraph& g,
+                                     const BenefitOptions& opts) {
+  return folded_api_groups(g, expected_benefit(g, opts));
+}
+
 namespace {
 
-// Signature of a problematic run: member-wise (API, exact stack,
-// problem). Loop iterations emit identical signatures; those runs merge
-// into one logical sequence.
-std::string run_signature(const ExecutionGraph& g,
-                          const std::vector<std::size_t>& run) {
-  std::string sig;
-  sig.reserve(run.size() * 24);
+// Signature of a problematic run: member-wise (API, stack id, problem),
+// each packed losslessly into one word. Loop iterations emit identical
+// signatures; those runs merge into one logical sequence.
+std::vector<std::uint64_t> run_signature(const ExecutionGraph& g,
+                                         const std::vector<std::size_t>& run) {
+  std::vector<std::uint64_t> sig;
+  sig.reserve(run.size());
   for (const std::size_t i : run) {
     const Node& n = g.nodes()[i];
-    sig += std::to_string(static_cast<int>(n.api));
-    sig += ':';
-    sig += std::to_string(n.stack.exact_key());
-    sig += ':';
-    sig += std::to_string(static_cast<int>(n.problem));
-    sig += ';';
+    sig.push_back(static_cast<std::uint64_t>(n.api) << 40 |
+                  static_cast<std::uint64_t>(n.problem) << 32 | n.stack);
   }
   return sig;
 }
@@ -203,39 +197,37 @@ std::string run_signature(const ExecutionGraph& g,
 std::vector<Group> sequence_groups(const ExecutionGraph& g,
                                    const BenefitOptions& opts,
                                    std::size_t min_members) {
-  // Pass 1: collect maximal problematic runs.
+  // Pass 1: collect maximal problematic runs. "A sequence ... ends when
+  // a node is discovered that performs a synchronization that is
+  // necessary." Non-sync healthy nodes (CWork, healthy CLaunch) sit
+  // inside a sequence without breaking it, and every node between two
+  // consecutive problems is healthy, so a run breaks exactly where a
+  // sync node lies between them.
   std::vector<std::vector<std::size_t>> runs;
   std::vector<std::size_t> run;
   auto flush = [&] {
     if (run.size() >= min_members) runs.push_back(run);
     run.clear();
   };
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const Node& n = g.nodes()[i];
-    if (n.is_problematic()) {
-      run.push_back(i);
-      continue;
+  for (const std::size_t i : g.problematic_indices()) {
+    if (!run.empty() && g.next_sync_after(run.back()).value_or(i) < i) {
+      flush();
     }
-    // "A sequence ... ends when a node is discovered that performs a
-    // synchronization that is necessary." Non-sync healthy nodes
-    // (CWork, healthy CLaunch) sit inside a sequence without breaking
-    // it.
-    if (n.is_sync_node()) flush();
+    run.push_back(i);
   }
   flush();
 
   // Pass 2: merge runs with identical signatures (loop iterations).
-  std::map<std::string, Group> merged;
-  std::vector<std::string> order;
+  std::map<std::vector<std::uint64_t>, Group> merged;
+  std::vector<Group*> order;
   for (const std::vector<std::size_t>& r : runs) {
-    const std::string sig = run_signature(g, r);
-    Group& grp = merged[sig];
+    Group& grp = merged[run_signature(g, r)];
     if (grp.instances.empty()) {
       grp.kind = Group::Kind::kSequence;
       grp.nodes = r;
-      grp.title =
-          "Sequence starting at call " + leaf_description(g.nodes()[r[0]]);
-      order.push_back(sig);
+      grp.title = "Sequence starting at call " +
+                  leaf_description(g, g.nodes()[r[0]]);
+      order.push_back(&grp);
     }
     grp.instances.push_back(r);
   }
@@ -243,13 +235,13 @@ std::vector<Group> sequence_groups(const ExecutionGraph& g,
   // Pass 3: estimate each merged sequence over the union of its
   // instances' nodes (one subset pass captures the cross-iteration
   // interactions). The subset estimates are independent — each
-  // expected_benefit_subset call replays on its own copy of the graph —
-  // so they run in parallel; results land by index and group_order's
-  // deterministic tie-break keeps the final ordering thread-count
-  // invariant.
+  // expected_benefit_subset call replays on its own copy of the
+  // durations — so they run in parallel; results land by index and
+  // group_order's deterministic tie-break keeps the final ordering
+  // thread-count invariant.
   std::vector<Group> out;
   out.reserve(order.size());
-  for (const std::string& sig : order) out.push_back(std::move(merged[sig]));
+  for (Group* grp : order) out.push_back(std::move(*grp));
   par::parallel_for(out.size(), [&](std::size_t k) {
     Group& grp = out[k];
     std::vector<std::size_t> all_nodes;
@@ -280,7 +272,7 @@ std::vector<SequenceEntry> sequence_entries(const ExecutionGraph& g,
     SequenceEntry e;
     e.ordinal = out.size() + 1;
     e.op_index = n.op_index;
-    e.description = leaf_description(n);
+    e.description = leaf_description(g, n);
     out.push_back(std::move(e));
   }
   return out;

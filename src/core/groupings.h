@@ -73,8 +73,14 @@ struct Group {
 // All three lenses over one analyzed graph. Group benefits are per-node
 // benefits from a single ExpectedBenefit pass over all problematic
 // nodes, summed by membership (the paper's "modified ExpectedBenefit").
+// The report-taking forms group an existing pass (`report` must be
+// expected_benefit(g, ...)); the others run the pass themselves.
+std::vector<Group> single_point_groups(const ExecutionGraph& g,
+                                       const BenefitReport& report);
 std::vector<Group> single_point_groups(const ExecutionGraph& g,
                                        const BenefitOptions& opts = {});
+std::vector<Group> folded_api_groups(const ExecutionGraph& g,
+                                     const BenefitReport& report);
 std::vector<Group> folded_api_groups(const ExecutionGraph& g,
                                      const BenefitOptions& opts = {});
 // Sequences are estimated with a subset pass over their own members

@@ -2,6 +2,9 @@
 
 #include "core/benefit.h"
 
+#include <optional>
+
+#include "core/groupings.h"
 #include "support/error.h"
 #include "support/rng.h"
 
@@ -33,7 +36,8 @@ Node wait(Duration d, ProblemType p = ProblemType::kNone,
   return n;
 }
 
-ExecutionGraph make_graph(std::vector<Node> nodes) {
+ExecutionGraph make_graph(std::vector<Node> nodes,
+                          std::vector<trace::StackTrace> stacks = {}) {
   Duration total{0};
   TimePoint t{0};
   for (Node& n : nodes) {
@@ -41,7 +45,7 @@ ExecutionGraph make_graph(std::vector<Node> nodes) {
     t += n.duration;
     total += n.duration;
   }
-  return ExecutionGraph(std::move(nodes), total);
+  return ExecutionGraph(std::move(nodes), total, std::move(stacks));
 }
 
 // --- The Figure 4 scenarios ---------------------------------------------------
@@ -94,9 +98,10 @@ TEST(Fig4, NextWaitDurationGrowsByUnrealizedPortion) {
       wait(u(10)),
       wait(Duration{0}),
   });
-  (void)remove_synchronization(g, 0);
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});
-  EXPECT_EQ(g.nodes()[2].duration, u(25));  // 10 + (18 - 3)
+  std::vector<Duration> d = g.durations();
+  (void)remove_synchronization(g, d, 0);
+  EXPECT_EQ(d[0], Duration{0});
+  EXPECT_EQ(d[2], u(25));  // 10 + (18 - 3)
 }
 
 // --- RemoveSyncronization (Figure 5 lines 15-22) ---------------------------------
@@ -108,8 +113,9 @@ TEST(RemoveSync, BenefitCappedByWaitDuration) {
       wait(u(1)),
       wait(Duration{0}),
   });
-  EXPECT_EQ(remove_synchronization(g, 0), u(2));
-  EXPECT_EQ(g.nodes()[2].duration, u(1));  // no overflow
+  std::vector<Duration> d = g.durations();
+  EXPECT_EQ(remove_synchronization(g, d, 0), u(2));
+  EXPECT_EQ(d[2], u(1));  // no overflow
 }
 
 TEST(RemoveSync, NoWorkMeansNoBenefit) {
@@ -118,8 +124,9 @@ TEST(RemoveSync, NoWorkMeansNoBenefit) {
       wait(u(1)),
       wait(Duration{0}),
   });
-  EXPECT_EQ(remove_synchronization(g, 0), Duration{0});
-  EXPECT_EQ(g.nodes()[1].duration, u(10));  // full overflow
+  std::vector<Duration> d = g.durations();
+  EXPECT_EQ(remove_synchronization(g, d, 0), Duration{0});
+  EXPECT_EQ(d[1], u(10));  // full overflow
 }
 
 TEST(RemoveSync, NoNextSyncUsesEndOfProgram) {
@@ -127,12 +134,14 @@ TEST(RemoveSync, NoNextSyncUsesEndOfProgram) {
       wait(u(5), ProblemType::kUnnecessarySync),
       work(u(7)),
   });
-  EXPECT_EQ(remove_synchronization(g, 0), u(5));
+  std::vector<Duration> d = g.durations();
+  EXPECT_EQ(remove_synchronization(g, d, 0), u(5));
 }
 
 TEST(RemoveSync, OnNonSyncNodeThrows) {
   ExecutionGraph g = make_graph({work(u(1))});
-  EXPECT_THROW((void)remove_synchronization(g, 0), Error);
+  std::vector<Duration> d = g.durations();
+  EXPECT_THROW((void)remove_synchronization(g, d, 0), Error);
 }
 
 // --- MoveSynchronization (misplaced; Figure 5 lines 24-27) -------------------------
@@ -142,8 +151,9 @@ TEST(MoveSync, BenefitIsFirstUseTime) {
       wait(u(10), ProblemType::kMisplacedSync, /*first_use=*/u(4)),
       wait(Duration{0}),
   });
-  EXPECT_EQ(move_synchronization(g, 0, {}), u(4));
-  EXPECT_EQ(g.nodes()[0].duration, u(6));  // wait shrinks by first-use
+  std::vector<Duration> d = g.durations();
+  EXPECT_EQ(move_synchronization(g, d, 0, {}), u(4));
+  EXPECT_EQ(d[0], u(6));  // wait shrinks by first-use
 }
 
 TEST(MoveSync, CappedVariantLimitsToWaitDuration) {
@@ -153,8 +163,9 @@ TEST(MoveSync, CappedVariantLimitsToWaitDuration) {
   });
   BenefitOptions capped;
   capped.cap_misplaced_at_duration = true;
-  EXPECT_EQ(move_synchronization(g, 0, capped), u(3));
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});
+  std::vector<Duration> d = g.durations();
+  EXPECT_EQ(move_synchronization(g, d, 0, capped), u(3));
+  EXPECT_EQ(d[0], Duration{0});
 }
 
 TEST(MoveSync, UncappedVariantIsPaperFaithful) {
@@ -164,8 +175,9 @@ TEST(MoveSync, UncappedVariantIsPaperFaithful) {
   });
   BenefitOptions paper;
   paper.cap_misplaced_at_duration = false;
-  EXPECT_EQ(move_synchronization(g, 0, paper), u(10));
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});  // max(0, 3-10)
+  std::vector<Duration> d = g.durations();
+  EXPECT_EQ(move_synchronization(g, d, 0, paper), u(10));
+  EXPECT_EQ(d[0], Duration{0});  // max(0, 3-10)
 }
 
 // --- RemoveMemoryTransfer (Figure 5 lines 29-32) -------------------------------------
@@ -175,8 +187,9 @@ TEST(RemoveTransfer, BenefitIsLaunchDuration) {
       launch(u(2), ProblemType::kUnnecessaryTransfer),
       wait(Duration{0}),
   });
-  EXPECT_EQ(remove_memory_transfer(g, 0), u(2));
-  EXPECT_EQ(g.nodes()[0].duration, Duration{0});
+  std::vector<Duration> d = g.durations();
+  EXPECT_EQ(remove_memory_transfer(g, d, 0), u(2));
+  EXPECT_EQ(d[0], Duration{0});
 }
 
 // --- ExpectedBenefit (whole-graph pass) -----------------------------------------------
@@ -263,9 +276,164 @@ TEST(ExpectedBenefit, EmptyGraphNoBenefit) {
   EXPECT_TRUE(r.per_node.empty());
 }
 
+// Figure 5 as written: the transforms rewrite the durations of a copy of
+// the graph's nodes in place, in the order given. The durations-array
+// replay must reproduce it exactly. `left` receives the durations the
+// replay leaves behind.
+BenefitReport reference_replay(const ExecutionGraph& g,
+                               const std::vector<std::size_t>& targets,
+                               const BenefitOptions& opts = {},
+                               std::vector<Duration>* left = nullptr) {
+  std::vector<Node> nodes = g.nodes();
+  BenefitReport r;
+  for (const std::size_t i : targets) {
+    Node& n = nodes[i];
+    Duration b{0};
+    switch (n.problem) {
+      case ProblemType::kUnnecessarySync: {
+        std::optional<std::size_t> next;
+        for (std::size_t j = i + 1; j < nodes.size() && !next; ++j) {
+          if (nodes[j].type == NType::kCWait) next = j;
+        }
+        Duration idle{0};
+        for (std::size_t j = i + 1; j < next.value_or(nodes.size()); ++j) {
+          if (nodes[j].type != NType::kCWait) idle += nodes[j].duration;
+        }
+        b = std::min(idle, n.duration);
+        if (next && n.duration > b) nodes[*next].duration += n.duration - b;
+        n.duration = Duration{0};
+        break;
+      }
+      case ProblemType::kMisplacedSync:
+        b = n.first_use_time;
+        if (opts.cap_misplaced_at_duration) b = std::min(b, n.duration);
+        n.duration = std::max(Duration{0}, n.duration - n.first_use_time);
+        break;
+      case ProblemType::kUnnecessaryTransfer:
+        b = n.duration;
+        n.duration = Duration{0};
+        break;
+      case ProblemType::kNone:
+        continue;
+    }
+    r.per_node.push_back(NodeBenefit{i, b, n.problem});
+    r.total += b;
+    (n.problem == ProblemType::kUnnecessaryTransfer ? r.transfer_benefit
+                                                    : r.sync_benefit) += b;
+  }
+  if (left != nullptr) {
+    left->clear();
+    for (const Node& n : nodes) left->push_back(n.duration);
+  }
+  return r;
+}
+
+// The same targets, in the same order, through the public primitives on
+// one durations array.
+BenefitReport primitive_replay(const ExecutionGraph& g,
+                               const std::vector<std::size_t>& targets,
+                               const BenefitOptions& opts,
+                               std::vector<Duration>& d) {
+  d = g.durations();
+  BenefitReport r;
+  for (const std::size_t i : targets) {
+    const ProblemType p = g.nodes()[i].problem;
+    Duration b{0};
+    if (p == ProblemType::kUnnecessarySync) {
+      b = remove_synchronization(g, d, i);
+    } else if (p == ProblemType::kMisplacedSync) {
+      b = move_synchronization(g, d, i, opts);
+    } else if (p == ProblemType::kUnnecessaryTransfer) {
+      b = remove_memory_transfer(g, d, i);
+    } else {
+      continue;
+    }
+    r.per_node.push_back(NodeBenefit{i, b, p});
+    r.total += b;
+    (p == ProblemType::kUnnecessaryTransfer ? r.transfer_benefit
+                                            : r.sync_benefit) += b;
+  }
+  return r;
+}
+
+void expect_same_report(const BenefitReport& got, const BenefitReport& want) {
+  ASSERT_EQ(got.per_node.size(), want.per_node.size());
+  for (std::size_t k = 0; k < got.per_node.size(); ++k) {
+    EXPECT_EQ(got.per_node[k].node, want.per_node[k].node);
+    EXPECT_EQ(got.per_node[k].benefit, want.per_node[k].benefit);
+    EXPECT_EQ(got.per_node[k].problem, want.per_node[k].problem);
+  }
+  EXPECT_EQ(got.total, want.total);
+  EXPECT_EQ(got.sync_benefit, want.sync_benefit);
+  EXPECT_EQ(got.transfer_benefit, want.transfer_benefit);
+}
+
+// --- The durations replay against Figure 5 as written -------------------------------
+// Hand-built cases for the interactions a durations-only replay could
+// get wrong.
+
+TEST(DurationsReplay, OverflowIsAbsorbedByTheNextSync) {
+  // The first removal recovers only 2 of its 10; the other 8 land on
+  // the next (also unnecessary) wait, which then recovers 5 + 8.
+  const ExecutionGraph g = make_graph({
+      wait(u(10), ProblemType::kUnnecessarySync),
+      work(u(2)),
+      wait(u(5), ProblemType::kUnnecessarySync),
+      work(u(100)),
+      wait(Duration{0}),
+  });
+  const BenefitReport r = expected_benefit(g);
+  EXPECT_EQ(r.benefit_of(0), u(2));
+  EXPECT_EQ(r.benefit_of(2), u(13));
+  expect_same_report(r, reference_replay(g, g.problematic_indices()));
+  // g itself is untouched: a replay rewrites a copy of its durations.
+  EXPECT_EQ(g.durations()[2], u(5));
+  EXPECT_EQ(g.nodes()[2].duration, u(5));
+}
+
+TEST(DurationsReplay, TransferZeroedBeforeALaterWorkBetween) {
+  // Zeroing the transfer first shrinks the wait's window from 7 to 1.
+  const ExecutionGraph g = make_graph({
+      wait(u(10), ProblemType::kUnnecessarySync),
+      launch(u(6), ProblemType::kUnnecessaryTransfer),
+      work(u(1)),
+      wait(u(5)),
+      wait(Duration{0}),
+  });
+  const std::vector<std::size_t> order{1, 0};
+  std::vector<Duration> want;
+  std::vector<Duration> got;
+  const BenefitReport ref = reference_replay(g, order, {}, &want);
+  const BenefitReport r = primitive_replay(g, order, {}, got);
+  expect_same_report(r, ref);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(r.benefit_of(1), u(6));
+  EXPECT_EQ(r.benefit_of(0), u(1));
+  EXPECT_EQ(got[3], u(14));  // 5 + (10 - 1)
+}
+
+TEST(DurationsReplay, TerminalWaitAbsorbsTheLastOverflow) {
+  const ExecutionGraph g = make_graph({
+      work(u(4)),
+      wait(u(10), ProblemType::kUnnecessarySync),
+      work(u(3)),
+      wait(Duration{0}),  // program exit
+  });
+  std::vector<Duration> want;
+  std::vector<Duration> got;
+  const BenefitReport ref =
+      reference_replay(g, g.problematic_indices(), {}, &want);
+  expect_same_report(primitive_replay(g, g.problematic_indices(), {}, got),
+                     ref);
+  expect_same_report(expected_benefit(g), ref);
+  EXPECT_EQ(ref.total, u(3));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.back(), u(7));
+}
+
 // --- Property tests over randomized graphs ---------------------------------------------
 
-ExecutionGraph random_graph(Rng& rng, std::size_t n_nodes) {
+std::vector<Node> random_nodes(Rng& rng, std::size_t n_nodes) {
   std::vector<Node> nodes;
   for (std::size_t i = 0; i < n_nodes; ++i) {
     const int kind = static_cast<int>(rng.next_below(3));
@@ -290,7 +458,11 @@ ExecutionGraph random_graph(Rng& rng, std::size_t n_nodes) {
     }
   }
   nodes.push_back(wait(Duration{0}));  // terminal join
-  return make_graph(std::move(nodes));
+  return nodes;
+}
+
+ExecutionGraph random_graph(Rng& rng, std::size_t n_nodes) {
+  return make_graph(random_nodes(rng, n_nodes));
 }
 
 class BenefitPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -341,6 +513,85 @@ TEST_P(BenefitPropertyTest, EvaluationIsDeterministic) {
   Rng rng(GetParam() + 17);
   const ExecutionGraph g = random_graph(rng, 30);
   EXPECT_EQ(expected_benefit(g).total, expected_benefit(g).total);
+}
+
+TEST_P(BenefitPropertyTest, DurationsReplayMatchesReference) {
+  Rng rng(GetParam() * 7919 + 3);
+  BenefitOptions paper;
+  paper.cap_misplaced_at_duration = false;
+  for (int trial = 0; trial < 40; ++trial) {
+    const ExecutionGraph g = random_graph(rng, 1 + rng.next_below(80));
+    const std::vector<std::size_t>& problems = g.problematic_indices();
+    std::vector<std::size_t> subset;
+    for (const std::size_t p : problems) {
+      if (rng.next_bool(0.5)) subset.push_back(p);
+    }
+    for (const BenefitOptions& opts : {BenefitOptions{}, paper}) {
+      expect_same_report(expected_benefit(g, opts),
+                         reference_replay(g, problems, opts));
+      expect_same_report(expected_benefit_subset(g, subset, opts),
+                         reference_replay(g, subset, opts));
+    }
+  }
+}
+
+TEST_P(BenefitPropertyTest, PrimitivesMatchReferenceInAnyOrder) {
+  // The primitives take targets in any order (the figure bench applies
+  // them one at a time); the array they leave must be Figure 5's too.
+  Rng rng(GetParam() * 104729 + 11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const ExecutionGraph g = random_graph(rng, 1 + rng.next_below(60));
+    std::vector<std::size_t> order = g.problematic_indices();
+    for (std::size_t k = order.size(); k > 1; --k) {
+      std::swap(order[k - 1], order[rng.next_below(k)]);
+    }
+    std::vector<Duration> want;
+    std::vector<Duration> got;
+    const BenefitReport ref = reference_replay(g, order, {}, &want);
+    expect_same_report(primitive_replay(g, order, {}, got), ref);
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST_P(BenefitPropertyTest, ReportOverloadsMatchOneArgumentGroupings) {
+  // run_analysis groups its one ExpectedBenefit pass; the one-argument
+  // forms replay their own. Both must give the same groups, byte for
+  // byte, on graphs with repeated sites.
+  Rng rng(GetParam() ^ 0x5EED);
+  evstore::StackDict dict;
+  std::vector<evstore::StackId> sites{evstore::kEmptyStack};
+  for (int k = 0; k < 4; ++k) {
+    std::vector<const trace::Frame*> frames{
+        trace::FrameTable::instance().intern("main", "app.cc", 1),
+        trace::FrameTable::instance().intern(
+            k % 2 == 0 ? "solve<float>" : "solve<double>", "s.cc", 10 + k)};
+    sites.push_back(dict.intern(trace::StackTrace(std::move(frames))));
+  }
+  const hooks::Fn apis[] = {hooks::Fn::kCudaFree, hooks::Fn::kCudaMemcpy,
+                            hooks::Fn::kCudaDeviceSynchronize};
+  BenefitOptions paper;
+  paper.cap_misplaced_at_duration = false;
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Node> nodes = random_nodes(rng, 10 + rng.next_below(60));
+    for (Node& n : nodes) {
+      if (!n.is_problematic()) continue;
+      n.api = apis[rng.next_below(3)];
+      n.stack = sites[rng.next_below(sites.size())];
+    }
+    const ExecutionGraph g = make_graph(std::move(nodes), stack_table(dict));
+    for (const BenefitOptions& opts : {BenefitOptions{}, paper}) {
+      const BenefitReport report = expected_benefit(g, opts);
+      const auto dump = [](const std::vector<Group>& groups) {
+        json::Array arr;
+        for (const Group& grp : groups) arr.push_back(grp.to_json());
+        return json::Value(std::move(arr)).dump();
+      };
+      EXPECT_EQ(dump(single_point_groups(g, report)),
+                dump(single_point_groups(g, opts)));
+      EXPECT_EQ(dump(folded_api_groups(g, report)),
+                dump(folded_api_groups(g, opts)));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BenefitPropertyTest,

@@ -8,6 +8,7 @@
 #include "core/diogenes.h"
 #include "support/error.h"
 #include "core/report.h"
+#include "core/run_convert.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "trace/callstack.h"
@@ -106,7 +107,7 @@ AnalysisResult* IntegrationTest::result_ = nullptr;
 TEST_F(IntegrationTest, AllStagesRan) {
   EXPECT_EQ(result_->s1.wait_fn, Fn::kInternalWaitForStream);
   EXPECT_GT(result_->s1.exec_time.count(), 0);
-  EXPECT_FALSE(result_->s2.ops.empty());
+  EXPECT_FALSE(stage2_view(result_->run).ops.empty());
   EXPECT_FALSE(result_->s3.syncs.empty());
   EXPECT_FALSE(result_->s4.uses.empty());
   EXPECT_GT(result_->graph.size(), 0u);
@@ -210,7 +211,8 @@ TEST_F(IntegrationTest, DeterministicAcrossAnalyses) {
   Diogenes tool(synthetic_workload());
   const AnalysisResult again = tool.analyze();
   EXPECT_EQ(again.benefit.total, result_->benefit.total);
-  EXPECT_EQ(again.s2.ops.size(), result_->s2.ops.size());
+  EXPECT_EQ(stage2_view(again.run).ops.size(),
+            stage2_view(result_->run).ops.size());
   EXPECT_EQ(again.s3.duplicate_transfers.size(),
             result_->s3.duplicate_transfers.size());
 }

@@ -10,12 +10,19 @@ namespace {
 
 using hooks::Fn;
 
-trace::StackTrace stack_at(const std::string& fn, const std::string& file,
-                           int line) {
+// Hand-made nodes refer to stacks by id, as build_graph's do: stacks
+// intern into one dictionary, and make_graph hands the graph its table.
+evstore::StackDict& stacks() {
+  static evstore::StackDict dict;
+  return dict;
+}
+
+evstore::StackId stack_at(const std::string& fn, const std::string& file,
+                          int line) {
   std::vector<const trace::Frame*> frames{
       trace::FrameTable::instance().intern("main", "app.cc", 1),
       trace::FrameTable::instance().intern(fn, file, line)};
-  return trace::StackTrace(std::move(frames));
+  return stacks().intern(trace::StackTrace(std::move(frames)));
 }
 
 Node work(Duration d) {
@@ -25,7 +32,7 @@ Node work(Duration d) {
   return n;
 }
 
-Node problem_wait(Duration d, Fn api, const trace::StackTrace& st,
+Node problem_wait(Duration d, Fn api, evstore::StackId st,
                   std::int64_t op_index,
                   ProblemType p = ProblemType::kUnnecessarySync) {
   Node n;
@@ -53,7 +60,7 @@ ExecutionGraph make_graph(std::vector<Node> nodes) {
     t += n.duration;
     total += n.duration;
   }
-  return ExecutionGraph(std::move(nodes), total);
+  return ExecutionGraph(std::move(nodes), total, stack_table(stacks()));
 }
 
 // Two loop iterations, each: [free@856 problem, work, free@870 problem,

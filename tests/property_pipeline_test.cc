@@ -14,6 +14,7 @@
 
 #include "core/diogenes.h"
 #include "core/report.h"
+#include "core/run_convert.h"
 #include "gpusim/api.h"
 #include "gpusim/host_buffer.h"
 #include "support/rng.h"
@@ -161,15 +162,16 @@ TEST_P(PipelinePropertyTest, InvariantsAgainstOracle) {
 
   Diogenes tool(w);
   const AnalysisResult r = tool.analyze();
+  const Stage2Result s2 = stage2_view(r.run);
   const Oracle& oracle = *prog->oracle;
 
   // --- duplicate detection matches construction ---------------------------
   EXPECT_EQ(r.s3.duplicate_transfers.size(), oracle.duplicate_uploads);
   for (const DuplicateTransfer& d : r.s3.duplicate_transfers) {
-    ASSERT_LT(d.op_index, r.s2.ops.size());
+    ASSERT_LT(d.op_index, s2.ops.size());
     ASSERT_LT(d.first_op_index, d.op_index);  // first strictly earlier
-    const OpRecord& dup = r.s2.ops[d.op_index];
-    const OpRecord& first = r.s2.ops[d.first_op_index];
+    const OpRecord& dup = s2.ops[d.op_index];
+    const OpRecord& first = s2.ops[d.first_op_index];
     EXPECT_EQ(dup.bytes, first.bytes);
     // Duplicates come from re-sending stable content or re-reading an
     // unchanged device buffer — never from the fresh uploads.
@@ -179,7 +181,7 @@ TEST_P(PipelinePropertyTest, InvariantsAgainstOracle) {
   // --- trace counts match the oracle --------------------------------------
   std::size_t traced_syncs = 0;
   std::size_t traced_transfers = 0;
-  for (const OpRecord& op : r.s2.ops) {
+  for (const OpRecord& op : s2.ops) {
     if (op.performed_sync) ++traced_syncs;
     if (op.performed_transfer) ++traced_transfers;
     EXPECT_LE(op.t_enter, op.t_exit);
@@ -190,26 +192,26 @@ TEST_P(PipelinePropertyTest, InvariantsAgainstOracle) {
 
   // --- stage alignment ------------------------------------------------------
   for (const SyncClassification& c : r.s3.syncs) {
-    ASSERT_LT(c.op_index, r.s2.ops.size());
-    EXPECT_TRUE(r.s2.ops[c.op_index].performed_sync);
+    ASSERT_LT(c.op_index, s2.ops.size());
+    EXPECT_TRUE(s2.ops[c.op_index].performed_sync);
   }
   for (const SyncUse& u : r.s4.uses) {
-    ASSERT_LT(u.op_index, r.s2.ops.size());
+    ASSERT_LT(u.op_index, s2.ops.size());
     EXPECT_GE(u.first_use_time.count(), 0);
   }
 
   // --- benefit bounds ---------------------------------------------------------
   EXPECT_GE(r.benefit.total.count(), 0);
-  EXPECT_LE(r.benefit.total, r.s2.exec_time);
+  EXPECT_LE(r.benefit.total, s2.exec_time);
   EXPECT_EQ(r.benefit.total,
             r.benefit.sync_benefit + r.benefit.transfer_benefit);
 
   // --- graph totals reproduce the traced run ----------------------------------
-  EXPECT_EQ(r.graph.total_duration(), r.s2.exec_time);
+  EXPECT_EQ(r.graph.total_duration(), s2.exec_time);
 
   // --- serialization round trips -----------------------------------------------
-  EXPECT_EQ(Stage2Result::from_json(r.s2.to_json()).to_json().dump(),
-            r.s2.to_json().dump());
+  EXPECT_EQ(Stage2Result::from_json(s2.to_json()).to_json().dump(),
+            s2.to_json().dump());
   EXPECT_EQ(Stage3Result::from_json(r.s3.to_json()).to_json().dump(),
             r.s3.to_json().dump());
   EXPECT_EQ(Stage4Result::from_json(r.s4.to_json()).to_json().dump(),

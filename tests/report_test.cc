@@ -21,7 +21,8 @@ AnalysisResult handmade_result() {
   std::vector<const trace::Frame*> frames{
       trace::FrameTable::instance().intern("main", "app.cc", 1),
       trace::FrameTable::instance().intern("update<float>", "als.cpp", 856)};
-  const trace::StackTrace st(frames);
+  evstore::StackDict dict;
+  const evstore::StackId st = dict.intern(trace::StackTrace(frames));
 
   std::vector<Node> nodes;
   for (int i = 0; i < 2; ++i) {
@@ -48,7 +49,7 @@ AnalysisResult handmade_result() {
     n.stime = t;
     t += n.duration;
   }
-  r.graph = ExecutionGraph(std::move(nodes), secs(10.0));
+  r.graph = ExecutionGraph(std::move(nodes), secs(10.0), stack_table(dict));
   r.benefit = expected_benefit(r.graph);
   r.single_points = single_point_groups(r.graph);
   r.folds = folded_api_groups(r.graph);
